@@ -190,6 +190,7 @@ class CircuitLab:
                 self.all_mutants,
                 budget=self.config.equivalence_budget,
                 seed=self.config.seed,
+                engine=self.engine,
             )
         return self._equivalence
 

@@ -121,15 +121,16 @@ def execute_unit(unit: WorkUnit, config) -> dict:
             ("equiv", unit.circuit, config.equivalence_budget, config.seed),
             compute,
         )
-        survivors: list[int] = []
-        kill_cycle: dict[str, int | None] = {}
-        for mutant in mutants:
-            record = lab.engine.run_mutant(mutant, stimuli, reference)
-            # JSON object keys are strings; the merge converts back.
-            kill_cycle[str(mutant.mid)] = record.cycle
-            if not record.killed:
-                survivors.append(mutant.mid)
-        return {"survivors": survivors, "kill_cycle": kill_cycle}
+        survivors, kill_cycle = lab.engine._equivalence_sweep(
+            mutants, stimuli, reference
+        )
+        # JSON object keys are strings; the merge converts back.
+        return {
+            "survivors": survivors,
+            "kill_cycle": {
+                str(mid): cycle for mid, cycle in kill_cycle.items()
+            },
+        }
 
     raise GridError(f"unknown work-unit kind {unit.kind!r}")
 

@@ -9,64 +9,38 @@ different behaviour).  Sequences always start from reset.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.errors import MutantRuntimeError, OscillationError
 from repro.hdl import ast
 from repro.hdl.design import Design
 from repro.mutation.mutant import Mutant
-from repro.sim.interp import ExecContext
+from repro.obs import metrics
+from repro.sim.compiler import CompileCache, _Compiler
+from repro.sim.interp import Evaluator, ExecContext
 from repro.sim.testbench import StimulusEncoder, Testbench
 
+_NO_EVENTS: frozenset[str] = frozenset()
 
-class _SingleProcessCombRunner:
-    """Fast path for one-process combinational designs.
 
-    Such a process reads only input ports (the synthesizable-comb
-    discipline), so one execution per vector replaces the delta-cycle
-    scheduler: no per-vector signal-store rebuilds, no settle loops.
+class _CombTrace:
+    """The original design's run over one decoded stimulus batch.
+
+    Built once per sweep and shared by every mutant in it.  For vector
+    ``v``: ``values[v]`` is the read-only signal map (declared inits
+    plus the stimulus); ``states[v][j]`` the machine state before
+    top-level statement ``j`` (``j == len(body)``: end of the vector)
+    as a ``(variables, signals)`` pair of fixed-order tuples, where a
+    signal's entry is its effective value (the scheduled write, else
+    the current value); ``outputs[v]`` the observed outputs.
     """
 
-    def __init__(self, design: Design,
-                 patch: dict[int, ast.Node] | None, backend: str,
-                 cache=None):
-        self._design = design
-        self._process = design.processes[0]
-        if backend == "compiled":
-            from repro.sim.compiler import CompiledExecutor
+    __slots__ = ("values", "states", "outputs")
 
-            self._executor = CompiledExecutor(design, patch, cache)
-        else:
-            from repro.sim.compiler import InterpretedExecutor
-
-            self._executor = InterpretedExecutor(design, patch)
-        self._defaults = {
-            symbol.name: symbol.init
-            for symbol in design.signal_like_symbols
-        }
-        self._variables = {
-            var.name: var.init for var in self._process.variables
-        }
-        self._output_names = [p.name for p in design.output_ports]
-
-    def outputs(self, stimulus: dict[str, object]) -> tuple:
-        values = dict(self._defaults)
-        values.update(stimulus)
-        scheduled: dict[str, object] = {}
-
-        def schedule(name: str, value) -> None:
-            scheduled[name] = value
-
-        def schedule_base(name: str):
-            return scheduled.get(name, values[name])
-
-        ctx = ExecContext(
-            values.__getitem__, schedule, schedule_base,
-            self._variables, frozenset(),
-        )
-        self._executor.exec_process(self._process, ctx)
-        return tuple(
-            scheduled.get(name, values[name]) for name in self._output_names
-        )
+    def __init__(self) -> None:
+        self.values: list[dict[str, object]] = []
+        self.states: list[list[tuple[tuple, tuple]]] = []
+        self.outputs: list[tuple] = []
 
 
 def _can_fast_path(design: Design) -> bool:
@@ -113,12 +87,18 @@ class MutationEngine:
         self._max_delta = max_delta
         self._backend = backend
         self._fast = _can_fast_path(design)
-        if backend == "compiled":
-            from repro.sim.compiler import CompileCache
-
-            self._cache = CompileCache()
-        else:
-            self._cache = None
+        # Compiled closures for the compiled backend; statement subtree
+        # node ids (the patched-statement lookup) for both backends.
+        self._cache = CompileCache()
+        if self._fast:
+            process = design.processes[0]
+            self._body = process.body
+            self._var_init = {var.name: var.init for var in process.variables}
+            self._defaults = {
+                symbol.name: symbol.init
+                for symbol in design.signal_like_symbols
+            }
+            self._output_names = [p.name for p in design.output_ports]
 
     @property
     def design(self) -> Design:
@@ -134,13 +114,7 @@ class MutationEngine:
     def reference_outputs(self, stimuli: list[int]) -> list[tuple]:
         """Original-design responses (no patch)."""
         if self._fast:
-            runner = _SingleProcessCombRunner(
-                self._design, None, self._backend, self._cache
-            )
-            return [
-                runner.outputs(stimulus)
-                for stimulus in self.decode_all(stimuli)
-            ]
+            return self._comb_trace(stimuli).outputs
         bench = Testbench(
             self._design, max_delta=self._max_delta,
             backend=self._backend,
@@ -174,22 +148,15 @@ class MutationEngine:
 
         Sequential stimuli are one reset-started sequence; for
         combinational designs every vector is evaluated from fresh
-        state.
+        signal state (on the one-process fast path, process variables
+        carry over from the previous vector — see ``_comb_kills``).
         """
+        if self._fast:
+            return self._comb_records([mutant], stimuli, reference)[0]
         if reference is None:
             reference = self.reference_outputs(stimuli)
         decoded = self.decode_all(stimuli)
         try:
-            if self._fast:
-                runner = _SingleProcessCombRunner(
-                    self._design, mutant.patch(), self._backend, self._cache
-                )
-                for cycle, stimulus in enumerate(decoded):
-                    if runner.outputs(stimulus) != reference[cycle]:
-                        return KillRecord(
-                            mutant.mid, True, cycle, "output-diff"
-                        )
-                return KillRecord(mutant.mid, False, None, "survived")
             bench, pristine = self._fresh_bench(mutant.patch())
             sequential = self._design.is_sequential
             for cycle, stimulus in enumerate(decoded):
@@ -210,12 +177,43 @@ class MutationEngine:
         stimuli: list[int],
         reference: list[tuple] | None = None,
     ) -> list[KillRecord]:
+        return self._kill_records(mutants, stimuli, reference)
+
+    def _kill_records(
+        self,
+        mutants: list[Mutant],
+        stimuli: list[int],
+        reference: list[tuple] | None,
+    ) -> list[KillRecord]:
+        """One :class:`KillRecord` per mutant, in order.
+
+        The body of :meth:`run_all`, kept apart so the equivalence
+        sweep runs the same code without passing through the public
+        kill-analysis entry point.
+        """
+        if self._fast:
+            return self._comb_records(mutants, stimuli, reference)
         if reference is None:
             reference = self.reference_outputs(stimuli)
         return [
             self.run_mutant(mutant, stimuli, reference)
             for mutant in mutants
         ]
+
+    def _equivalence_sweep(
+        self,
+        mutants: list[Mutant],
+        stimuli: list[int],
+        reference: list[tuple] | None = None,
+    ) -> tuple[list[int], dict[int, int | None]]:
+        """Survivor ids and per-mutant first-kill cycles of one sweep.
+
+        Shared by :func:`repro.mutation.score.estimate_equivalents` and
+        the grid's equivalence work units.
+        """
+        records = self._kill_records(mutants, stimuli, reference)
+        survivors = [record.mid for record in records if not record.killed]
+        return survivors, {record.mid: record.cycle for record in records}
 
     def killed_mids(
         self,
@@ -228,6 +226,171 @@ class MutationEngine:
             for record in self.run_all(mutants, stimuli, reference)
             if record.killed
         }
+
+    # -- one-process combinational fast path ---------------------------------
+
+    def _stmt_fns(self, patch: dict[int, ast.Node] | None):
+        """Runners of the (patched) body's top-level statements.
+
+        Also returns the first and last index of the statements the
+        patch touches: ``(0, -1)`` when it touches none.
+        """
+        cache = self._cache
+        if self._backend == "compiled":
+            compiler = _Compiler(patch or {}, cache)
+            fns = [compiler.compile_stmt_cached(stmt) for stmt in self._body]
+        else:
+            evaluator = Evaluator(patch)
+            fns = [partial(evaluator.exec_stmt, stmt) for stmt in self._body]
+        patched = [
+            index for index, stmt in enumerate(self._body)
+            if patch and not patch.keys().isdisjoint(cache.nids_of(stmt))
+        ]
+        if not patched:
+            return fns, 0, -1
+        return fns, patched[0], patched[-1]
+
+    def _comb_trace(self, stimuli: list[int]) -> _CombTrace:
+        """Run the original process once over ``stimuli``, recording states.
+
+        The process reads input ports only, so signal values stay fixed
+        within a vector and a dict of effective values (initialised to
+        the current values) stands in for the scheduled-write map.
+        Variables persist from one vector to the next.
+        """
+        fns, _, _ = self._stmt_fns(None)
+        variables = dict(self._var_init)
+        trace = _CombTrace()
+        for packed in stimuli:
+            values = dict(self._defaults)
+            values.update(self._encoder.decode(packed))
+            scheduled = dict(values)
+            ctx = ExecContext(
+                values.__getitem__, scheduled.__setitem__,
+                scheduled.__getitem__, variables, _NO_EVENTS,
+            )
+            states = [(tuple(variables.values()), tuple(scheduled.values()))]
+            for fn in fns:
+                fn(ctx)
+                states.append(
+                    (tuple(variables.values()), tuple(scheduled.values()))
+                )
+            trace.values.append(values)
+            trace.states.append(states)
+            trace.outputs.append(
+                tuple(scheduled[name] for name in self._output_names)
+            )
+        return trace
+
+    def _comb_records(
+        self,
+        mutants: list[Mutant],
+        stimuli: list[int],
+        reference: list[tuple] | None,
+    ) -> list[KillRecord]:
+        """First-kill records of ``mutants`` against one shared trace."""
+        trace = self._comb_trace(stimuli)
+        if reference is None:
+            reference = trace.outputs
+        records = []
+        for mutant in mutants:
+            kills = self._comb_kills(
+                trace, mutant.patch(), reference, first_only=True
+            )
+            if not kills:
+                records.append(KillRecord(mutant.mid, False, None, "survived"))
+                continue
+            index, reason = kills[0]
+            cycle = None if reason == "runtime" else index
+            records.append(KillRecord(mutant.mid, True, cycle, reason))
+        return records
+
+    def _comb_kills(
+        self,
+        trace: _CombTrace,
+        patch: dict[int, ast.Node],
+        reference: list[tuple],
+        first_only: bool,
+    ) -> list[tuple[int, str]]:
+        """``(vector index, reason)`` of every vector that kills ``patch``.
+
+        Differential run against ``trace``: statements before the first
+        patched one are the original's, so while the mutant's variables
+        match the reference's at the start of a vector it resumes from
+        the reference state before that statement.  After the last
+        patched statement, a state equal to the reference's at the same
+        boundary means the rest of the vector reproduces the reference
+        exactly, so the run stops there.  A vector that raised, or ran
+        to the end without rejoining, leaves the mutant with its own
+        variables, and the next vector starts at statement 0 unless
+        they happen to equal the reference's.  ``first_only`` stops at
+        the first kill.
+        """
+        fns, first, last = self._stmt_fns(patch)
+        count = len(fns)
+        var_names = list(self._var_init)
+        sig_names = list(self._defaults)
+        output_names = self._output_names
+        variables = dict(self._var_init)
+        scheduled: dict[str, object] = {}
+        ctx = ExecContext(
+            None, scheduled.__setitem__, scheduled.__getitem__, variables,
+            _NO_EVENTS,
+        )
+        kills: list[tuple[int, str]] = []
+        in_sync = True
+        evaluated = converged = executed = 0
+        for index, states in enumerate(trace.states):
+            values = trace.values[index]
+            ctx.read_signal = values.__getitem__
+            scheduled.clear()
+            if in_sync:
+                state_vars, state_sigs = states[first]
+                variables.update(zip(var_names, state_vars))
+                scheduled.update(zip(sig_names, state_sigs))
+                start = first
+            else:
+                scheduled.update(values)
+                start = 0
+            evaluated += 1
+            at = start
+            rejoined = False
+            try:
+                while at < count:
+                    fns[at](ctx)
+                    at += 1
+                    if at > last and states[at] == (
+                        tuple(variables.values()), tuple(scheduled.values())
+                    ):
+                        rejoined = True
+                        break
+            except MutantRuntimeError:
+                executed += at - start + 1
+                kills.append((index, "runtime"))
+                if first_only:
+                    break
+                in_sync = tuple(variables.values()) == states[count][0]
+                continue
+            executed += at - start
+            if rejoined:
+                converged += at < count
+                in_sync = True
+                outputs = trace.outputs[index]
+            else:
+                in_sync = tuple(variables.values()) == states[count][0]
+                outputs = tuple(map(scheduled.__getitem__, output_names))
+            if outputs != reference[index]:
+                kills.append((index, "output-diff"))
+                if first_only:
+                    break
+        m = metrics.active()
+        if m.enabled:
+            m.counter("mutation.sweep.mutants")
+            m.counter("mutation.sweep.evals", evaluated)
+            m.counter("mutation.sweep.converged", converged)
+            m.counter("mutation.sweep.stmts", executed)
+            m.counter("mutation.sweep.stmts_full", evaluated * count)
+        return kills
 
     # -- surviving-mutant triage --------------------------------------------
 
@@ -323,24 +486,22 @@ class MutationEngine:
         Every vector is independent (no state), so the whole matrix
         comes from one pass per mutant over the candidate list.
         """
+        if self._fast:
+            trace = self._comb_trace(vectors)
+            if reference is None:
+                reference = trace.outputs
+            return {
+                mutant.mid: {
+                    index for index, _reason in self._comb_kills(
+                        trace, mutant.patch(), reference, first_only=False
+                    )
+                }
+                for mutant in mutants
+            }
         if reference is None:
             reference = self.reference_outputs(vectors)
         decoded = self.decode_all(vectors)
         matrix: dict[int, set[int]] = {}
-        if self._fast:
-            for mutant in mutants:
-                kills: set[int] = set()
-                runner = _SingleProcessCombRunner(
-                    self._design, mutant.patch(), self._backend, self._cache
-                )
-                for index, stimulus in enumerate(decoded):
-                    try:
-                        if runner.outputs(stimulus) != reference[index]:
-                            kills.add(index)
-                    except (MutantRuntimeError, OscillationError):
-                        kills.add(index)
-                matrix[mutant.mid] = kills
-            return matrix
         for mutant in mutants:
             kills: set[int] = set()
             try:

@@ -100,20 +100,20 @@ def estimate_equivalents(
     mutants: list[Mutant],
     budget: int = 512,
     seed: int = 20050307,
+    *,
+    engine: MutationEngine | None = None,
 ) -> EquivalenceAnalysis:
-    """Classify mutants that the budgeted campaign never kills."""
+    """Classify mutants that the budgeted campaign never kills.
+
+    ``engine`` is a :class:`MutationEngine` of ``design`` to reuse (and
+    share compiled closures with); one is built when omitted.
+    """
     stimuli, exhaustive = equivalence_stimuli(design, budget, seed)
-    engine = MutationEngine(design)
-    reference = engine.reference_outputs(stimuli)
-    survivors: set[int] = set()
-    kill_cycle: dict[int, int | None] = {}
-    for mutant in mutants:
-        record = engine.run_mutant(mutant, stimuli, reference)
-        kill_cycle[mutant.mid] = record.cycle
-        if not record.killed:
-            survivors.add(mutant.mid)
+    if engine is None:
+        engine = MutationEngine(design)
+    survivors, kill_cycle = engine._equivalence_sweep(mutants, stimuli)
     return EquivalenceAnalysis(
-        equivalent_mids=survivors,
+        equivalent_mids=set(survivors),
         budget=len(stimuli),
         seed=seed,
         exhaustive=exhaustive,

@@ -7,12 +7,14 @@ kinds, all behind a single lock:
 * **gauges** — last-write-wins floats (``gauge``);
 * **histograms** — fixed-bucket distributions (``observe`` /
   ``time``), stored as upper-edge -> count maps so two snapshots
-  taken with different bucket layouts still merge by key union.
+  taken with different bucket layouts still merge by key union, plus
+  the observed ``min``/``max``.
 
 ``snapshot()`` renders the registry as a plain JSON-native dict and
 ``merge(snapshot)`` folds such a dict back in — counters and bucket
-counts sum, gauges overwrite — which is how worker-side registries
-travel home inside grid/net result envelopes.  Both operations are
+counts sum, histogram extremes take the min/max, gauges overwrite —
+which is how worker-side registries travel home inside grid/net result
+envelopes.  Both operations are
 associative and order-insensitive for counters and histograms, so
 at-least-once delivery and arbitrary completion order cannot skew
 the totals.
@@ -47,7 +49,8 @@ _INF = "inf"
 QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
 
 
-def estimate_quantiles(buckets: dict, qs=QUANTILES) -> dict:
+def estimate_quantiles(buckets: dict, qs=QUANTILES, low=None,
+                       high=None) -> dict:
     """Upper-edge interpolated quantile estimates for a bucket map.
 
     ``buckets`` is the snapshot shape: ``{edge_key: count}`` with the
@@ -56,7 +59,9 @@ def estimate_quantiles(buckets: dict, qs=QUANTILES) -> dict:
     edge (0.0 below the first) and the bucket's upper edge.  Ranks
     landing in the overflow bucket report the largest finite edge —
     a deliberate lower bound, since the overflow has no upper edge.
-    Returns ``{}`` for empty or unparseable bucket maps.
+    ``low``/``high``, the observed extremes when known, clamp every
+    estimate into the observed range.  Returns ``{}`` for empty or
+    unparseable bucket maps.
     """
     edges: list[tuple[float, int]] = []
     overflow = 0
@@ -89,6 +94,10 @@ def estimate_quantiles(buckets: dict, qs=QUANTILES) -> dict:
                 break
             seen += n
             lower = edge
+        if high is not None:
+            value = min(value, high)
+        if low is not None:
+            value = max(value, low)
         out[label] = value
     return out
 
@@ -102,7 +111,9 @@ class Metrics:
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {}
         self._gauges: dict[str, float] = {}
-        #: name -> {"count": int, "sum": float, "buckets": {edge: int}}
+        #: name -> {"count": int, "sum": float, "min": float | None,
+        #: "max": float | None, "unbounded": bool, "buckets": {edge: int}}
+        #: — ``unbounded`` once merged observations came without extremes.
         self._histograms: dict[str, dict] = {}
 
     # -- instruments ---------------------------------------------------------
@@ -129,10 +140,13 @@ class Metrics:
         with self._lock:
             hist = self._histograms.get(name)
             if hist is None:
-                hist = {"count": 0, "sum": 0.0, "buckets": {}}
+                hist = _empty_histogram()
                 self._histograms[name] = hist
             hist["count"] += 1
             hist["sum"] += value
+            if not hist["unbounded"]:
+                hist["min"] = _lowest(hist["min"], value)
+                hist["max"] = _highest(hist["max"], value)
             hist["buckets"][key] = hist["buckets"].get(key, 0) + 1
 
     @contextmanager
@@ -150,9 +164,10 @@ class Metrics:
         """The whole registry as a plain JSON-native dict.
 
         Each histogram additionally carries ``"quantiles"`` — p50/p95/
-        p99 estimates interpolated from the bucket edges.  They are
-        derived data: :meth:`merge` ignores them and recomputes from
-        the summed buckets, so quantiles never skew across workers.
+        p99 estimates interpolated from the bucket edges and clamped to
+        the observed ``min``/``max``.  They are derived data:
+        :meth:`merge` ignores them and recomputes from the summed
+        buckets, so quantiles never skew across workers.
         """
         with self._lock:
             return {
@@ -162,8 +177,13 @@ class Metrics:
                     name: {
                         "count": hist["count"],
                         "sum": hist["sum"],
+                        "min": hist["min"],
+                        "max": hist["max"],
                         "buckets": dict(hist["buckets"]),
-                        "quantiles": estimate_quantiles(hist["buckets"]),
+                        "quantiles": estimate_quantiles(
+                            hist["buckets"], low=hist["min"],
+                            high=hist["max"],
+                        ),
                     }
                     for name, hist in self._histograms.items()
                 },
@@ -172,7 +192,9 @@ class Metrics:
     def merge(self, snapshot: dict) -> None:
         """Fold a :meth:`snapshot` dict into this registry.
 
-        Counters and histogram buckets sum (key union); gauges
+        Counters and histogram buckets sum (key union); histogram
+        ``min``/``max`` merge by min/max, and become unknown (``None``)
+        once observations without them are folded in; gauges
         overwrite; derived ``"quantiles"`` entries are ignored (they
         are recomputed at the next snapshot).  Tolerates partial
         snapshots (missing sections) and skips individually corrupt
@@ -212,10 +234,12 @@ class Metrics:
                 merged = self._histograms.get(name)
                 fresh = merged is None
                 if fresh:
-                    merged = {"count": 0, "sum": 0.0, "buckets": {}}
+                    merged = _empty_histogram()
                 try:
                     count = int(incoming.get("count") or 0)
                     total = float(incoming.get("sum") or 0.0)
+                    low = _extreme(incoming.get("min"))
+                    high = _extreme(incoming.get("max"))
                     buckets = incoming.get("buckets") or {}
                     deltas = {
                         key: int(n) for key, n in buckets.items()
@@ -225,6 +249,12 @@ class Metrics:
                     continue
                 merged["count"] += count
                 merged["sum"] += total
+                if count and (low is None or high is None):
+                    # Observations of unknown range: so are the totals.
+                    merged.update(unbounded=True, min=None, max=None)
+                elif not merged["unbounded"]:
+                    merged["min"] = _lowest(merged["min"], low)
+                    merged["max"] = _highest(merged["max"], high)
                 for key, n in deltas.items():
                     merged["buckets"][key] = (
                         merged["buckets"].get(key, 0) + n
@@ -239,6 +269,30 @@ class Metrics:
     def is_empty(self) -> bool:
         with self._lock:
             return not (self._counters or self._gauges or self._histograms)
+
+
+def _empty_histogram() -> dict:
+    return {
+        "count": 0, "sum": 0.0, "min": None, "max": None,
+        "unbounded": False, "buckets": {},
+    }
+
+
+def _extreme(value) -> float | None:
+    """A snapshot's ``min``/``max`` entry: absent stays ``None``."""
+    return None if value is None else float(value)
+
+
+def _lowest(current: float | None, value: float | None) -> float | None:
+    if current is None:
+        return value
+    return current if value is None else min(current, value)
+
+
+def _highest(current: float | None, value: float | None) -> float | None:
+    if current is None:
+        return value
+    return current if value is None else max(current, value)
 
 
 def _edge_key(edge: float) -> str:

@@ -152,13 +152,61 @@ def test_merge_skips_corrupt_entries_and_counts_them():
 
 def test_histogram_snapshot_includes_quantiles():
     m = Metrics()
-    for _ in range(4):
-        m.observe("h", 0.4)        # all land in the "0.5" bucket
-    q = m.snapshot()["histograms"]["h"]["quantiles"]
+    for value in (0.2, 0.3, 0.4, 0.5):
+        m.observe("h", value)      # all land in the "0.5" bucket
+    hist = m.snapshot()["histograms"]["h"]
+    assert (hist["min"], hist["max"]) == (0.2, 0.5)
+    q = hist["quantiles"]
     # Linear interpolation between the previous edge (0.0) and 0.5.
     assert q["p50"] == pytest.approx(0.25)
     assert q["p95"] == pytest.approx(0.475)
     assert q["p99"] == pytest.approx(0.495)
+    # The same bucket holding a single repeated value: the estimates
+    # are clamped to what was observed.
+    m = Metrics()
+    for _ in range(4):
+        m.observe("h", 0.4)
+    q = m.snapshot()["histograms"]["h"]["quantiles"]
+    assert q == {"p50": 0.4, "p95": 0.4, "p99": 0.4}
+
+
+def test_single_observation_quantiles_stay_in_range():
+    # One 2.355 s observation lands in the (2, 10] bucket; unclamped
+    # interpolation reported p50=5.0, p95=9.5, p99=9.9.
+    m = Metrics()
+    m.observe("stage.seconds", 2.355)
+    hist = m.snapshot()["histograms"]["stage.seconds"]
+    assert (hist["min"], hist["max"]) == (2.355, 2.355)
+    assert hist["quantiles"] == {"p50": 2.355, "p95": 2.355, "p99": 2.355}
+    assert estimate_quantiles({"10": 1}, low=2.355, high=2.355) == {
+        "p50": 2.355, "p95": 2.355, "p99": 2.355,
+    }
+
+
+def test_merged_snapshot_quantiles_stay_in_merged_range():
+    fast, slow = Metrics(), Metrics()
+    fast.observe("h", 0.3)
+    slow.observe("h", 2.355)
+    slow.observe("h", 3.0)
+    merged = Metrics()
+    merged.merge(fast.snapshot())
+    merged.merge(slow.snapshot())
+    hist = merged.snapshot()["histograms"]["h"]
+    assert hist["count"] == 3
+    assert (hist["min"], hist["max"]) == (0.3, 3.0)
+    for value in hist["quantiles"].values():
+        assert 0.3 <= value <= 3.0
+    # Unclamped, the top quantiles interpolate toward the 10 s edge.
+    assert hist["quantiles"]["p99"] == 3.0
+    assert estimate_quantiles(hist["buckets"])["p99"] > 3.0
+    # Observations without extremes make the merged range unknown, so
+    # nothing is clamped to a range that may be too narrow.
+    merged.merge({"histograms": {"h": {
+        "count": 1, "sum": 9.0, "buckets": {"10": 1},
+    }}})
+    hist = merged.snapshot()["histograms"]["h"]
+    assert (hist["min"], hist["max"]) == (None, None)
+    assert hist["quantiles"] == estimate_quantiles(hist["buckets"])
 
 
 def test_estimate_quantiles_interpolation_and_overflow():
@@ -497,6 +545,36 @@ def test_campaign_without_telemetry_collects_nothing():
     campaign.run(("c17",))
     assert campaign.last_metrics is None
     assert obs_metrics.active() is NULL_METRICS
+
+
+
+def test_cli_run_telemetry_reports_mutant_sweep_counters(tmp_path, capsys):
+    """The RTL mutant layer shows up in ``repro run --telemetry``."""
+    from repro.cli import main
+
+    fresh_labs()
+    config_path = tmp_path / "campaign.json"
+    config_path.write_text(
+        CampaignConfig(**REDUCED, circuits=("c432",)).to_json()
+    )
+    assert main(["run", str(config_path), "--telemetry"]) == 0
+    err = capsys.readouterr().err
+    counters = {}
+    for line in err.splitlines():
+        fields = line.split()
+        if len(fields) == 2 and fields[0].startswith("mutation.sweep."):
+            counters[fields[0]] = int(fields[1])
+    assert set(counters) == {
+        "mutation.sweep.mutants", "mutation.sweep.evals",
+        "mutation.sweep.converged", "mutation.sweep.stmts",
+        "mutation.sweep.stmts_full",
+    }, err
+    assert 0 < counters["mutation.sweep.converged"] <= (
+        counters["mutation.sweep.evals"]
+    )
+    assert 0 < counters["mutation.sweep.stmts"] < (
+        counters["mutation.sweep.stmts_full"]
+    )
 
 
 # -- live surfaces -----------------------------------------------------------
